@@ -43,7 +43,7 @@ func main() {
 	bench := flag.Bool("bench", false, "run the perf-trajectory harness instead of the paper tables")
 	benchOut := flag.String("bench-out", "", "where -bench writes its JSON point (default BENCH_<bench-pr>.json)")
 	benchBaseline := flag.String("bench-baseline", "", "previous -bench JSON to embed as baseline and diff against")
-	benchPR := flag.String("bench-pr", "PR5", "trajectory label recorded in the JSON")
+	benchPR := flag.String("bench-pr", "", "trajectory label recorded in the JSON, e.g. PR12 (required with -bench)")
 	benchRounds := flag.Int("bench-rounds", 0, "override the serving workload's round count (0 = default)")
 	benchExperiments := flag.Bool("bench-experiments", true, "include the §7 driver pass in -bench runs")
 	benchBudget := flag.Int("bench-budget", 0, "row budget of the bounded-budget profile (0 = default; negative skips the profile)")
@@ -90,6 +90,11 @@ func main() {
 	}
 
 	if *bench {
+		if *benchPR == "" {
+			// A default label silently mislabelled trajectory points.
+			fmt.Fprintln(os.Stderr, "qsys-bench: -bench needs -bench-pr, the trajectory label of the point (e.g. PR12)")
+			os.Exit(2)
+		}
 		// Negative budget/routing/... values flow through as explicit skips:
 		// Defaults only replaces zero, and Run's positivity guards leave the
 		// profile out. (Zeroing them here used to be undone when Run re-applied

@@ -363,11 +363,11 @@ type mergeTask struct {
 // runRoundStealing is the merge-granularity round: component-aware work
 // stealing for graphs whose component count cannot fill the pool.
 //
-// Correctness rests on the same footprint index the component partition is
-// built from. Two merges can interact only through plan nodes both footprints
-// contain, so each task depends on every earlier merge (admission order,
-// necessarily in its own component — cross-component footprints never
-// intersect) that shares a node with it. Dependency order restricted to any
+// Correctness rests on the footprint index the component partition is built
+// from, widened to what driving a merge reaches (reachKeys). Two merges can
+// interact only through plan nodes both reach, so each task depends on every
+// earlier merge (admission order, within its component) that reaches a node
+// it reaches. Dependency order restricted to any
 // shared node is then exactly the serial round's admission order: the rows
 // that flow, every per-node RNG draw sequence, and therefore result digests
 // and work counters are unchanged. Merges that share nothing directly —
@@ -398,7 +398,7 @@ func (a *ATC) runRoundStealing(comps [][]*MergeState, merges int) bool {
 		for _, m := range comp {
 			t := &mergeTask{m: m, done: make(chan struct{})}
 			depSeen := map[*mergeTask]bool{}
-			for _, k := range m.nodeKeys {
+			for _, k := range a.reachKeys(m) {
 				// Chaining through the key's latest earlier toucher is
 				// enough: intermediate touchers depend on older ones
 				// transitively, so per-node order is total.
@@ -461,6 +461,51 @@ func (a *ATC) runRoundStealing(comps [][]*MergeState, merges int) bool {
 	}
 	a.compactActive(live)
 	return len(a.active) > 0
+}
+
+// reachKeys returns the keys of every node driving merge m can touch: its
+// footprint, plus every node its sources' rows are pushed into downstream
+// (split consumers outside the footprint, which another merge's terminal
+// may sit behind) and the probe inputs those nodes read. Two stolen tasks
+// may overlap only when these sets are disjoint; the footprint alone misses
+// the shared downstream join that merges connected only through a third
+// merge both feed.
+func (a *ATC) reachKeys(m *MergeState) []string {
+	keys := append([]string(nil), m.nodeKeys...)
+	seen := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		seen[k] = true
+	}
+	add := func(n *plangraph.Node) bool {
+		if seen[n.Key] {
+			return false
+		}
+		seen[n.Key] = true
+		keys = append(keys, n.Key)
+		return true
+	}
+	var down func(n *plangraph.Node)
+	down = func(n *plangraph.Node) {
+		for _, e := range n.Consumers {
+			if e.Probe {
+				continue // a probe input is read on demand, never pushed into
+			}
+			for _, in := range e.To.Inputs {
+				if in.Probe {
+					add(in.From)
+				}
+			}
+			if add(e.To) {
+				down(e.To)
+			}
+		}
+	}
+	for _, k := range m.nodeKeys {
+		if n := a.Graph.Node(k); n != nil {
+			down(n)
+		}
+	}
+	return keys
 }
 
 // workerPool is a fixed set of goroutines executing submitted closures. It

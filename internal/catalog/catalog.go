@@ -265,6 +265,26 @@ func (c *Catalog) ForgetStreamed(key string) {
 	c.mu.Unlock()
 }
 
+// Feedback is the execution feedback the catalog holds for one expression
+// key: everything an optimization reads about the key that execution can
+// change. Two equal Feedback values price the key identically.
+type Feedback struct {
+	// Streamed is StreamedSoFar(key).
+	Streamed int
+	// Card is the observed cardinality; HasCard reports whether one is
+	// recorded (it then overrides the estimate).
+	Card    float64
+	HasCard bool
+}
+
+// FeedbackOf returns the key's current execution feedback in one read.
+func (c *Catalog) FeedbackOf(key string) Feedback {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	card, ok := c.exprCard[key]
+	return Feedback{Streamed: c.streamedSoFar[key], Card: card, HasCard: ok}
+}
+
 // RecordExprCard records an observed expression cardinality, which overrides
 // (and invalidates) the pure estimate.
 func (c *Catalog) RecordExprCard(key string, card float64) {

@@ -11,7 +11,6 @@ package costmodel
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/cq"
@@ -68,38 +67,17 @@ type Input struct {
 	Uses map[string]*cq.ExprOccurrence
 }
 
-// Model prices assignments against a catalog. It memoises each query's full
-// expression (canonicalization is costly and BestPlan calls the cost function
-// exponentially often). The memo is lock-protected: under the parallel
-// executor, one admission optimizes its independent query groups
-// concurrently against the one shared model (the memo is keyed by CQ id, so
-// concurrent fills are distinct entries and the cache stays deterministic).
+// Model prices assignments against a catalog. It is stateless beyond its
+// catalog and prices: each query's full expression is memoised on the query
+// itself (cq.CQ.FullExpr), so a long-running model holds nothing per query.
 type Model struct {
 	Cat    *catalog.Catalog
 	Params Params
-
-	mu       sync.RWMutex
-	fullExpr map[string]*cq.Expr // by CQ id
 }
 
 // New builds a cost model.
 func New(cat *catalog.Catalog, p Params) *Model {
-	return &Model{Cat: cat, Params: p, fullExpr: map[string]*cq.Expr{}}
-}
-
-// FullExpr returns (and caches) the canonical expression of a whole query.
-func (m *Model) FullExpr(q *cq.CQ) *cq.Expr {
-	m.mu.RLock()
-	e, ok := m.fullExpr[q.ID]
-	m.mu.RUnlock()
-	if ok {
-		return e
-	}
-	e, _ = q.SubExpr(allIdx(len(q.Atoms)))
-	m.mu.Lock()
-	m.fullExpr[q.ID] = e
-	m.mu.Unlock()
-	return e
+	return &Model{Cat: cat, Params: p}
 }
 
 // ChooseMode applies §5.1.1's streaming rule: relations (or pushed-down
@@ -146,7 +124,7 @@ func (m *Model) StreamDepth(e *cq.Expr, uses map[string]*cq.ExprOccurrence, k in
 	card := math.Max(m.Cat.EstimateCard(e), 1)
 	depth := 0.0
 	for cqID, occ := range uses {
-		full := m.FullExpr(occ.CQ)
+		full := occ.CQ.FullExpr()
 		results := math.Max(m.Cat.EstimateCard(full), 1)
 		frac := math.Min(1, float64(k)/results)
 		s := float64(streamsPerCQ[cqID])
@@ -162,14 +140,6 @@ func (m *Model) StreamDepth(e *cq.Expr, uses map[string]*cq.ExprOccurrence, k in
 		}
 	}
 	return math.Min(depth, card)
-}
-
-func allIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }
 
 // StreamRebuildCost estimates what re-deriving an evicted stream source's

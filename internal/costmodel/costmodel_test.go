@@ -131,13 +131,3 @@ func TestModeString(t *testing.T) {
 		t.Error("mode strings")
 	}
 }
-
-func TestFullExprCached(t *testing.T) {
-	m := fixtureModel(t)
-	q := &cq.CQ{ID: "q", Atoms: []*cq.Atom{
-		{Rel: "Scored", DB: "db", Args: []cq.Term{cq.V(0), cq.V(1), cq.V(2)}},
-	}, Model: scoring.Discover(1)}
-	if m.FullExpr(q) != m.FullExpr(q) {
-		t.Error("FullExpr not cached")
-	}
-}

@@ -89,12 +89,13 @@ type CQ struct {
 	// returns whole rows so any head can be projected afterwards).
 	HeadVars []int
 
-	// SubExpr memo (see expr.go). subMu guards it: admission-side group
-	// optimization may canonicalize one query's subexpressions from several
-	// goroutines.
+	// SubExpr memo (see expr.go) and the FullExpr memo. subMu guards them:
+	// admission-side group optimization may canonicalize one query's
+	// subexpressions from several goroutines.
 	subMu   sync.Mutex
 	subMemo map[string]subEntry
 	subKey  []byte
+	full    *Expr
 }
 
 // Clone returns a copy sharing the atoms, model and head vars but none of

@@ -327,3 +327,14 @@ func TestUQFields(t *testing.T) {
 		t.Error("UQ fields")
 	}
 }
+
+func TestFullExprCached(t *testing.T) {
+	q := chainCQ("q", 3)
+	e := q.FullExpr()
+	if e != q.FullExpr() {
+		t.Error("FullExpr not cached")
+	}
+	if sub, _ := q.SubExpr([]int{0, 1, 2}); sub.Key() != e.Key() {
+		t.Errorf("FullExpr %s != SubExpr of every atom %s", e.Key(), sub.Key())
+	}
+}

@@ -138,6 +138,22 @@ func (q *CQ) SubExpr(idxs []int) (*Expr, []int) {
 	return expr, append([]int(nil), mapping...)
 }
 
+// FullExpr returns the canonical expression of the whole query, memoized on
+// the query (the cost model prices every query's full result at every search
+// leaf).
+func (q *CQ) FullExpr() *Expr {
+	q.subMu.Lock()
+	e := q.full
+	q.subMu.Unlock()
+	if e == nil {
+		e, _ = q.SubExpr(allIdx(len(q.Atoms)))
+		q.subMu.Lock()
+		q.full = e
+		q.subMu.Unlock()
+	}
+	return e
+}
+
 // subEntry is one memoized SubExpr result.
 type subEntry struct {
 	expr    *Expr

@@ -225,7 +225,15 @@ func transportFailure(err error) bool {
 func (f *Frontend) confirmAborted(ctx context.Context, sh int, uqID string) bool {
 	pctx, cancel := context.WithTimeout(ctx, redispatchProbeTimeout)
 	defer cancel()
-	if _, err := f.backends[sh].Health(pctx); err != nil {
+	_, err := f.backends[sh].Health(pctx)
+	// A probe sent over a pooled keep-alive connection to a process that has
+	// just died fails on read (EOF, reset), not on dial. net/http discards
+	// that connection, so probing again dials afresh and tells a dead process
+	// (refused) from a live one; a few tries outlast every pooled connection.
+	for try := 1; try < 3 && err != nil && transportFailure(err) && !connectFailure(err); try++ {
+		_, err = f.backends[sh].Health(pctx)
+	}
+	if err != nil {
 		return connectFailure(err)
 	}
 	rv, err := f.backends[sh].Recovered(pctx)
@@ -373,6 +381,7 @@ func (f *Frontend) Stats(ctx context.Context) service.Stats {
 			continue
 		}
 		st.Work = st.Work.Add(bs.Work)
+		st.PlanCache = st.PlanCache.Add(bs.PlanCache)
 		for _, ss := range bs.Shards {
 			ss.Shard = i
 			st.Shards = append(st.Shards, ss)

@@ -192,7 +192,7 @@ func collectCandidates(qs []*cq.CQ, memo *andor.Graph, cm *costmodel.Model, cfg 
 			set[a.Rel] = true
 		}
 		relSets[q.ID] = set
-		fullCard[q.ID] = cm.Cat.EstimateCard(cm.FullExpr(q))
+		fullCard[q.ID] = cm.Cat.EstimateCard(q.FullExpr())
 	}
 	var cands []*candidate
 	for _, key := range memo.Keys() {

@@ -101,6 +101,7 @@ type Manager struct {
 	State *state.Manager
 
 	lastUse map[*plangraph.Node]int // node -> last epoch referenced
+	plans   *planCache
 }
 
 // New creates a manager, wiring a fresh execution-state subsystem (ledger +
@@ -109,6 +110,7 @@ func New(g *plangraph.Graph, a *atc.ATC, cat *catalog.Catalog, cm *costmodel.Mod
 	m := &Manager{Graph: g, ATC: a, Cat: cat, CM: cm, Mode: mode,
 		State:   state.NewManager(),
 		lastUse: map[*plangraph.Node]int{},
+		plans:   newPlanCache(),
 	}
 	a.BindState(m.State.Ledger, nil)
 	// A spilled stream keeps its buffered-prefix accounting (evict); if the
@@ -158,17 +160,24 @@ func (m *Manager) DefaultResolver() state.TupleResolver {
 // Evictions returns how many state objects were evicted (§6.3).
 func (m *Manager) Evictions() int { return m.State.Evictions() }
 
+// PlanCacheStats returns the plan cache's lifetime counters.
+func (m *Manager) PlanCacheStats() PlanCacheStats { return m.plans.stats }
+
 // AdmitReport summarises one admission.
 type AdmitReport struct {
 	Epoch int
-	// OptimizeWall is the real time spent in multi-query optimization; it is
-	// also charged to the graph's virtual clock (the paper's timings include
+	// OptimizeWall is the real time spent in multi-query optimization,
+	// plan-cache lookups included; with ChargeOptimizer it is also charged
+	// to the graph's virtual clock (the paper's timings include
 	// optimization, §7.4).
 	OptimizeWall time.Duration
 	// CandidatesPerGroup records Figure 11's x-axis per optimization group.
 	CandidatesPerGroup []int
-	// SearchNodes sums BestPlan invocations.
+	// SearchNodes sums BestPlan invocations (a plan-cache hit runs none).
 	SearchNodes int
+	// PlanCache counts this admission's plan-cache lookups, one per
+	// optimization group.
+	PlanCache PlanCacheStats
 	// Recovered counts historical rows recovered for the new queries.
 	Recovered int64
 }
@@ -209,6 +218,9 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (*AdmitReport
 		res := optResults[gi].res
 		if err := optResults[gi].err; err != nil {
 			return nil, fmt.Errorf("qsm: optimize %q: %w", g.scope, err)
+		}
+		if checkPlan != nil {
+			checkPlan(g.qs, m.CM, cfg, res)
 		}
 		if err := mqo.Validate(g.qs, res.Inputs); err != nil {
 			return nil, fmt.Errorf("qsm: invalid assignment for %q: %w", g.scope, err)
@@ -326,36 +338,50 @@ type optResult struct {
 	err error
 }
 
-// optimizeGroups runs multi-query optimization for every group, bounded by
-// the controller's worker count (serial when the parallel executor is off or
-// there is only one group), and folds the search statistics into the report
-// in group order.
+// optimizeGroups finds every group's plan: from the plan cache when a
+// validated entry exists, else by mqo.Optimize. Lookups and inserts run on
+// the admitting goroutine in group order, so the cache evolves identically
+// at any worker count; only the misses' searches fan out, bounded by the
+// controller's worker count. The search statistics fold into the report in
+// group order.
 func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *AdmitReport) []optResult {
+	before := m.plans.stats
 	out := make([]optResult, len(groups))
 	walls := make([]time.Duration, len(groups))
-	workers := m.ATC.Workers()
-	if workers > 1 && len(groups) > 1 {
+	keys := make([]string, len(groups))
+	var misses []int
+	for i, g := range groups {
+		walls[i] = timed(func() { keys[i], out[i].res = m.plans.lookup(g.qs, cfg, m.Cat) })
+		if out[i].res == nil {
+			misses = append(misses, i)
+		}
+	}
+	optimize := func(i int) {
+		walls[i] += timed(func() {
+			out[i].res, out[i].err = mqo.Optimize(groups[i].qs, m.CM, cfg)
+		})
+	}
+	if workers := m.ATC.Workers(); workers > 1 && len(misses) > 1 {
 		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
-		for i := range groups {
+		for _, i := range misses {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				start := time.Now() //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
-				res, err := mqo.Optimize(groups[i].qs, m.CM, cfg)
-				walls[i] = time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
-				out[i] = optResult{res: res, err: err}
+				optimize(i)
 			}(i)
 		}
 		wg.Wait()
 	} else {
-		for i := range groups {
-			start := time.Now() //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
-			res, err := mqo.Optimize(groups[i].qs, m.CM, cfg)
-			walls[i] = time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
-			out[i] = optResult{res: res, err: err}
+		for _, i := range misses {
+			optimize(i)
+		}
+	}
+	for _, i := range misses {
+		if out[i].err == nil && keys[i] != "" {
+			m.plans.insert(keys[i], groups[i].qs, out[i].res, m.Cat)
 		}
 	}
 	for i := range groups {
@@ -365,7 +391,15 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 			report.SearchNodes += out[i].res.SearchNodes
 		}
 	}
+	report.PlanCache = m.plans.stats.Sub(before)
 	return out
+}
+
+// timed runs fn and returns its wall time.
+func timed(fn func()) time.Duration {
+	start := time.Now() //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
+	fn()
+	return time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
 }
 
 // groups splits the batch into optimization units per the sharing mode.

@@ -45,6 +45,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/metrics"
 	"repro/internal/plangraph"
+	"repro/internal/qsm"
 	"repro/internal/recovery"
 	"repro/internal/state"
 	"repro/internal/tuple"
@@ -236,6 +237,10 @@ type Stats struct {
 	// Shared splits every row the engines processed by where it came from:
 	// retained memory state, the spill tier on disk, or a fresh source read.
 	Shared SharedSplit
+	// PlanCache sums the shards' plan-cache lookups (one per optimization
+	// group admitted): plans reused, searched afresh, and re-searched
+	// because the catalog feedback they were chosen under had changed.
+	PlanCache qsm.PlanCacheStats
 	// Shards holds per-engine detail.
 	Shards []ShardStats
 	// Recovery reports the crash-recovery tier (zero when disabled):
@@ -276,6 +281,8 @@ type ShardStats struct {
 	EvictionsByPolicy map[string]int
 	// Spill reports the shard's disk-tier traffic (zero when disabled).
 	Spill state.SpillStats
+	// PlanCache counts the shard's plan-cache lookups.
+	PlanCache qsm.PlanCacheStats
 	// Now is the shard's engine-clock time.
 	Now time.Duration
 }
@@ -488,6 +495,7 @@ func (s *Service) Stats() Stats {
 		ss := sh.stats()
 		st.Shards = append(st.Shards, ss)
 		st.Work = st.Work.Add(ss.Work)
+		st.PlanCache = st.PlanCache.Add(ss.PlanCache)
 	}
 	st.Shared = st.SharedSplit()
 	st.Recovery = s.RecoveryStats()

@@ -383,3 +383,37 @@ func TestWindowSharesSourceWork(t *testing.T) {
 		t.Errorf("admission window did not reduce source work: %d >= %d", batched, unbatched)
 	}
 }
+
+// TestStatsCountPlanCacheLookups pins the plan-cache counters: every
+// optimization group admitted (one per search here: window-free admission,
+// per-user-query optimization) is exactly one hit, miss or stale lookup, and
+// repeated searches reuse cached plans.
+func TestStatsCountPlanCacheLookups(t *testing.T) {
+	s := newBioService(t, service.Config{K: 10, BatchWindow: 0, Shards: 2})
+	defer s.Close()
+	searches := 0
+	for round := 0; round < 3; round++ {
+		for _, kw := range bioKeywords {
+			if _, err := s.Search(context.Background(), "u", kw, 10); err != nil {
+				t.Fatal(err)
+			}
+			searches++
+		}
+	}
+	st := s.Stats()
+	pc := st.PlanCache
+	if got := pc.Hits + pc.Misses + pc.Stale; got != int64(searches) {
+		t.Fatalf("plan cache counted %d lookups (%+v) for %d admitted groups", got, pc, searches)
+	}
+	var perShard int64
+	for _, ss := range st.Shards {
+		perShard += ss.PlanCache.Hits + ss.PlanCache.Misses + ss.PlanCache.Stale
+	}
+	if perShard != int64(searches) {
+		t.Fatalf("shards counted %d lookups, want %d", perShard, searches)
+	}
+	if pc.Hits == 0 {
+		t.Fatalf("repeated searches never reused a plan: %+v", pc)
+	}
+	t.Logf("plan cache: %+v", pc)
+}

@@ -200,7 +200,13 @@ func (s *Spill) Take(key string) (*NodeSnapshot, int, int64, error) {
 		os.Remove(path) // never orphan an unreadable segment on disk
 		return nil, 0, 0, err
 	}
-	cr := &countReader{r: bufio.NewReader(f)}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, 0, 0, err
+	}
+	cr := &countReader{r: bufio.NewReader(f), size: fi.Size()}
 	snap, err := decodeSnapshot(cr, s.resolve)
 	f.Close()
 	os.Remove(path)
@@ -272,7 +278,13 @@ func (c *countWriter) Write(p []byte) (int, error) {
 type countReader struct {
 	r io.ByteReader
 	n int64
+	// size is the input's total length: decoders check claimed element
+	// counts against the bytes that remain before allocating for them.
+	size int64
 }
+
+// remaining reports how many input bytes are still unread.
+func (c *countReader) remaining() int64 { return c.size - c.n }
 
 func (c *countReader) ReadByte() (byte, error) {
 	b, err := c.r.ReadByte()
@@ -393,6 +405,9 @@ func decodeParts(r *countReader, rels []string, resolve TupleResolver) ([]*tuple
 	if n > maxParts {
 		return nil, fmt.Errorf("row arity %d exceeds limit", n)
 	}
+	if n > uint64(r.remaining()) { // every part takes at least one byte
+		return nil, fmt.Errorf("row arity %d exceeds the %d bytes left", n, r.remaining())
+	}
 	parts := make([]*tuple.Tuple, n)
 	for i := range parts {
 		ref, err := binary.ReadUvarint(r)
@@ -438,9 +453,11 @@ func decodeRowSet(r *countReader, rels []string, resolve TupleResolver) ([][]*tu
 	if err != nil {
 		return nil, nil, err
 	}
-	const maxRows = 1 << 28
-	if n > maxRows {
-		return nil, nil, fmt.Errorf("row count %d exceeds limit", n)
+	// Every row takes at least two bytes (its epoch and its part count), so
+	// a count the remaining input cannot hold is corrupt: refuse it before
+	// allocating for it.
+	if n > uint64(r.remaining())/2 {
+		return nil, nil, fmt.Errorf("row count %d exceeds the %d bytes left", n, r.remaining())
 	}
 	parts := make([][]*tuple.Tuple, n)
 	epochs := make([]int, n)

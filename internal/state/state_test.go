@@ -1,9 +1,11 @@
 package state
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/tuple"
@@ -330,5 +332,31 @@ func TestArbiterSharesNeverOverCommit(t *testing.T) {
 	}
 	if sum != 5 {
 		t.Errorf("budget<shards: Σ shares = %d, want one floor row per shard", sum)
+	}
+}
+
+// TestDecodeSegmentBoundsRowCount feeds a 15-byte segment that claims 2^27
+// log rows. Decoding must fail without allocating for the claimed rows: the
+// count is checked against the bytes that remain, so the allocation stays
+// bounded by the input's size however large the claim.
+func TestDecodeSegmentBoundsRowCount(t *testing.T) {
+	seg := []byte(segMagic)
+	seg = append(seg, 1, 'k') // key
+	seg = append(seg, 2, 0)   // kind, stream position
+	seg = append(seg, 0)      // empty relation table
+	seg = binary.AppendUvarint(seg, 1<<27)
+	if len(seg) != 15 {
+		t.Fatalf("segment is %d bytes, want 15", len(seg))
+	}
+	resolve := func(string, int64) (*tuple.Tuple, error) { return nil, fmt.Errorf("no rows") }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeSegment(seg, resolve)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("segment claiming 2^27 rows in 15 bytes decoded without error")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+		t.Fatalf("decoding a 15-byte segment allocated %d bytes", alloc)
 	}
 }
